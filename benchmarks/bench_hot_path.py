@@ -2,9 +2,11 @@
 
 Five benchmarks — three representative simulations (a fast-backend
 all-reduce, a fast-backend all-to-all over a switch fabric, a detailed
-flit-level all-reduce), one larger fast-backend all-reduce (256 NPUs,
-deep enough to push the event queue into calendar mode), and a pure
-:class:`~repro.events.engine.EventQueue` schedule/cancel microbench.
+flit-level all-reduce), one larger fast-backend all-reduce (256 NPUs;
+it peaks at 519 pending events, below the 2048-event calendar threshold,
+so it runs in heap mode), and a pure
+:class:`~repro.events.engine.EventQueue` schedule/cancel microbench,
+which is the one that exercises the calendar queue.
 Together they exercise every hot path the perf work touches: the
 event-queue run loop and calendar scheduler, ``FastBackend.send`` +
 ``Link.reserve`` + delivery coalescing, the channel route caches, and

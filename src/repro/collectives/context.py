@@ -9,7 +9,7 @@ breakdowns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
 from typing import Callable, Optional
 
 from repro.config.parameters import InjectionPolicy, PacketRouting
@@ -19,40 +19,83 @@ from repro.network.link import Link
 from repro.network.message import Message
 
 
-@dataclass
+#: Samples a :class:`PhaseStats` buffer holds before it is folded.  A
+#: fold leaves at most ~40 terms (the double exponent range over 53-bit
+#: terms), so the buffers stay below this size.
+FOLD_SIZE = 4096
+
+
+def fold_exact(buffer: array) -> array:
+    """The few floats whose exact sum equals the exact sum of ``buffer``.
+
+    Each term is the correctly rounded remainder of what the terms before
+    it left over (``fsum`` is exact, rounded once), so the loop ends
+    within a handful of rounds and :func:`math.fsum` over the terms plus
+    any later samples equals ``fsum`` over every sample ever added.
+    ``buffer`` is consumed.
+    """
+    terms = array("d")
+    total = math.fsum(buffer)
+    while total != 0.0:
+        terms.append(total)
+        if not math.isfinite(total):
+            break  # an inf/nan sample: fsum's answer stays that from here on
+        buffer.append(-total)
+        total = math.fsum(buffer)
+    return terms
+
+
 class PhaseStats:
     """Accumulated message timing for one phase index across a run.
 
-    Per-message values are kept and reduced with :func:`math.fsum` on
-    read: the exact sum rounded once, so the totals are bit-identical no
-    matter what order messages were recorded in.  An incrementally
-    rounded ``+=`` would drift in the last ulp whenever delivery order is
-    perturbed (parallel execution, schedule tie permutation — see
-    docs/DETERMINISM.md).
+    Totals are exact sums rounded once (:func:`math.fsum`), so they are
+    bit-identical no matter what order messages were recorded or merged
+    in.  An incrementally rounded ``+=`` would drift in the last ulp
+    whenever delivery order is perturbed (parallel execution, schedule
+    tie permutation — see docs/DETERMINISM.md).
+
+    Memory stays bounded: samples are appended to unboxed ``array('d')``
+    buffers (invisible to the cyclic garbage collector), and every
+    :data:`FOLD_SIZE` samples each buffer is folded by :func:`fold_exact`
+    into a few floats with the same exact sum.
     """
 
-    messages: int = 0
-    queue_values: list[float] = field(default_factory=list, repr=False)
-    network_values: list[float] = field(default_factory=list, repr=False)
-    byte_values: list[float] = field(default_factory=list, repr=False)
+    __slots__ = ("messages", "_queue", "_network", "_bytes")
+
+    def __init__(self) -> None:
+        self.messages = 0
+        # Three buffers of equal length (folding pads with zeros), so
+        # record() has a single length to check.
+        self._queue = array("d")
+        self._network = array("d")
+        self._bytes = array("d")
 
     def record(self, message: Message) -> None:
         self.messages += 1
-        self.queue_values.append(message.queueing_cycles)
-        self.network_values.append(message.network_cycles)
-        self.byte_values.append(message.size_bytes)
+        self._queue.append(message.queueing_cycles)
+        self._network.append(message.network_cycles)
+        self._bytes.append(message.size_bytes)
+        if len(self._bytes) >= FOLD_SIZE:
+            self._fold()
+
+    def _fold(self) -> None:
+        folded = [fold_exact(b) for b in (self._queue, self._network, self._bytes)]
+        width = max(map(len, folded))
+        for terms in folded:
+            terms.extend([0.0] * (width - len(terms)))
+        self._queue, self._network, self._bytes = folded
 
     @property
     def queue_cycles(self) -> float:
-        return math.fsum(self.queue_values)
+        return math.fsum(self._queue)
 
     @property
     def network_cycles(self) -> float:
-        return math.fsum(self.network_values)
+        return math.fsum(self._network)
 
     @property
     def bytes(self) -> float:
-        return math.fsum(self.byte_values)
+        return math.fsum(self._bytes)
 
     @property
     def mean_queue_cycles(self) -> float:
@@ -64,11 +107,13 @@ class PhaseStats:
 
     def merge_from(self, other: "PhaseStats") -> None:
         """Fold another phase's samples in (order-invariant: the merged
-        totals fsum over the union of samples)."""
+        totals are the exact sums over the union of samples)."""
         self.messages += other.messages
-        self.queue_values.extend(other.queue_values)
-        self.network_values.extend(other.network_values)
-        self.byte_values.extend(other.byte_values)
+        self._queue.extend(other._queue)
+        self._network.extend(other._network)
+        self._bytes.extend(other._bytes)
+        if len(self._bytes) >= FOLD_SIZE:
+            self._fold()
 
     def as_dict(self) -> dict:
         """JSON-serializable form (run-cache payloads, bench reports)."""
@@ -81,12 +126,12 @@ class PhaseStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhaseStats":
-        return cls(
-            messages=int(data["messages"]),
-            queue_values=[float(data["queue_cycles"])],
-            network_values=[float(data["network_cycles"])],
-            byte_values=[float(data["bytes"])],
-        )
+        stats = cls()
+        stats.messages = int(data["messages"])
+        stats._queue.append(float(data["queue_cycles"]))
+        stats._network.append(float(data["network_cycles"]))
+        stats._bytes.append(float(data["bytes"]))
+        return stats
 
 
 class CollectiveContext:

@@ -161,6 +161,10 @@ class ChunkExecution:
         channels = self.fabric.channels_for(spec.dim, group)
         size = self.chunk_bytes * spec.size_fraction
         on_node_done = lambda n, p=phase_idx: self._leave_phase(n, p)  # noqa: E731
+        # The instance's callbacks point back at this execution; dropping
+        # the finished instance breaks that cycle, so reference counting
+        # frees the phase's state without the cyclic garbage collector.
+        on_all_done = lambda key=(phase_idx, group): self._instances.pop(key)  # noqa: E731
         label = f"{self.label}/p{phase_idx + 1}:{spec.op.value}@{spec.dim}"
         # Failure context propagated into the phase's algorithm: when a
         # mid-phase link dies for good, the CollectiveError names the phase
@@ -179,6 +183,7 @@ class ChunkExecution:
             instance = algorithm(
                 self.ctx, ring, size,
                 on_node_done=on_node_done,
+                on_all_done=on_all_done,
                 phase_index=phase_idx + 1,
                 label=label,
             )
@@ -188,6 +193,7 @@ class ChunkExecution:
             instance = algorithm(
                 self.ctx, nodes, channels, size,
                 on_node_done=on_node_done,
+                on_all_done=on_all_done,
                 phase_index=phase_idx + 1,
                 lsq_offset=self.chunk_index,
                 label=label,

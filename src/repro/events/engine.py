@@ -887,7 +887,7 @@ class CountdownBarrier:
         self.name = name
         self.count = count
         self._remaining = count
-        self._on_done = on_done
+        self._on_done: Optional[EventCallback] = on_done
         self._fired = False
         self._sanitizer = sanitizer
         if sanitizer is not None:
@@ -921,4 +921,9 @@ class CountdownBarrier:
         self._fired = True
         if self._sanitizer is not None:
             self._sanitizer.barriers.fired(self)
-        self._on_done()
+        # A fired barrier never calls back again; dropping the callback
+        # breaks the owner -> barrier -> callback -> owner cycle, so the
+        # owner is freed by reference counting.
+        on_done, self._on_done = self._on_done, None
+        if on_done is not None:
+            on_done()

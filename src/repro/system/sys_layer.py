@@ -8,6 +8,7 @@ programs against: :meth:`request_collective` returns a
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -80,9 +81,8 @@ class System:
         if fault_schedule is not None:
             self.fault_state = fault_schedule.install(topology.fabric, self.events)
             self.backend.faults = self.fault_state
-        self.breakdown = DelayBreakdown()
         self.scheduler = Scheduler(
-            topology.fabric, config.system, self.breakdown, now=lambda: self.events.now
+            topology.fabric, config.system, now=lambda: self.events.now
         )
         #: trace=True retains finished chunk executions so the timeline
         #: tooling (repro.analysis.trace) can reconstruct phase spans.
@@ -156,7 +156,7 @@ class System:
             reduction_cycles_per_kb=reduction_cycles_per_kb,
             packet_routing=sys_cfg.packet_routing,
             injection_policy=sys_cfg.injection_policy,
-            stats_sink=lambda phase, msg, c=collective: self._record(c, phase, msg),
+            stats_sink=functools.partial(self._record, collective),
         )
         self.sets.append(collective)
         self.scheduler.enqueue_set(collective, ctx)
@@ -178,7 +178,20 @@ class System:
 
     def _record(self, collective: CollectiveSet, phase: int, message) -> None:
         collective.breakdown.record_message(phase, message)
-        self.breakdown.record_message(phase, message)
+
+    @property
+    def breakdown(self) -> DelayBreakdown:
+        """The run's queue/network delay breakdown (Fig. 12b).
+
+        Each message is recorded once, into its set's breakdown; this is
+        their exact merge, built on each read, with the ready-queue delays
+        in issue order.
+        """
+        total = DelayBreakdown()
+        for collective in self.sets:
+            total.merge_from(collective.breakdown)
+        total.ready_queue_delays = list(self.scheduler.ready_queue_delays)
+        return total
 
     # -- running -------------------------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Tests for the collective execution context and per-phase stats."""
 
+import math
+
 import pytest
 
 from repro.collectives import CollectiveContext, PhaseStats
+from repro.collectives.context import FOLD_SIZE
 from repro.config import LinkConfig, NetworkConfig
 from repro.errors import CollectiveError
 from repro.events import EventQueue
@@ -75,3 +78,16 @@ class TestPhaseStats:
         stats = PhaseStats()
         assert stats.mean_queue_cycles == 0.0
         assert stats.mean_network_cycles == 0.0
+
+    def test_folding_past_the_default_size_stays_exact_and_bounded(self):
+        values = [(-1.0) ** i * 10.0 ** (i % 40 - 20) + i for i in range(10_000)]
+        stats = PhaseStats()
+        for v in values:
+            m = Message(0, 1, 1.0 + v * v)
+            m.created_at, m.injected_at, m.delivered_at = 0.0, v, 2 * v
+            stats.record(m)
+        assert stats.messages == len(values)
+        assert stats.queue_cycles == math.fsum(values)
+        assert stats.network_cycles == math.fsum(2 * v - v for v in values)
+        assert stats.bytes == math.fsum(1.0 + v * v for v in values)
+        assert len(stats._queue) < FOLD_SIZE

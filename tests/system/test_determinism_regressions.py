@@ -1,7 +1,7 @@
 """Regression tests for nondeterminism the source linter flagged.
 
 Each class pins one fixed bug: order-sensitive float accumulation in the
-stats (now fsum over stored samples) and the process-global chunk-id
+stats (now exact, order-invariant sums) and the process-global chunk-id
 counter (now per-Scheduler).  See docs/DETERMINISM.md.
 """
 

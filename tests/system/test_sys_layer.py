@@ -91,6 +91,19 @@ class TestRequestCollective:
         sys_.run_until_idle(max_events=50_000_000)
         assert c.breakdown.num_phases == len(c.plan)
 
+    def test_each_message_recorded_once(self):
+        sys_ = make_system()
+        for size in (1 * MB, 256 * KB):
+            sys_.request_collective(CollectiveOp.ALL_REDUCE, size)
+        sys_.run_until_idle(max_events=50_000_000)
+        per_set = sum(stats.messages for c in sys_.sets
+                      for stats in c.breakdown.phase_stats.values())
+        assert per_set == sys_.backend.messages_delivered > 0
+        total = sys_.breakdown
+        assert sum(s.messages for s in total.phase_stats.values()) == per_set
+        assert sorted(total.ready_queue_delays) == sorted(
+            d for c in sys_.sets for d in c.breakdown.ready_queue_delays)
+
     def test_schedule_exposes_event_queue(self):
         sys_ = make_system()
         fired = []

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +14,12 @@ from repro.analytical import (
 from repro.collectives import (
     CollectiveContext,
     CollectiveOp,
+    PhaseStats,
     RingAllGather,
     RingAllReduce,
     RingReduceScatter,
     build_phase_plan,
+    context,
 )
 from repro.config import CollectiveAlgorithm, LinkConfig, NetworkConfig
 from repro.dims import Dimension
@@ -174,3 +178,70 @@ def test_parser_round_trip(text):
     again = loads(dumps(model), name="prop")
     assert again.layers == model.layers
     assert again.strategy == model.strategy
+
+
+# -- per-message stats accumulator ------------------------------------------------
+
+#: Finite floats from subnormals to 1e300, both signs: a few hundred of
+#: them cannot overflow an exact sum.
+_stat_values = st.lists(
+    st.floats(min_value=-1e300, max_value=1e300,
+              allow_nan=False, allow_infinity=False),
+    max_size=400)
+#: Small fold sizes so a few hundred samples fold many times.  A fold
+#: leaves at most ~40 terms (2098 bits of double exponent range, >= 53
+#: bits per term), so any fold size above that keeps the buffer below it.
+_fold_sizes = st.integers(min_value=48, max_value=96)
+
+
+def _sample(value):
+    return SimpleNamespace(queueing_cycles=value, network_cycles=-value / 3,
+                           size_bytes=abs(value))
+
+
+def _exact_totals(values):
+    return (math.fsum(values), math.fsum(-v / 3 for v in values),
+            math.fsum(abs(v) for v in values))
+
+
+def _totals(stats):
+    return (stats.queue_cycles, stats.network_cycles, stats.bytes)
+
+
+def _buffer_lengths(stats):
+    return {len(stats._queue), len(stats._network), len(stats._bytes)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_stat_values, fold=_fold_sizes, data=st.data())
+def test_phase_stats_totals_are_exact_in_any_order(values, fold, data):
+    order = data.draw(st.permutations(values))
+    with mock.patch.object(context, "FOLD_SIZE", fold):
+        stats = PhaseStats()
+        for value in order:
+            stats.record(_sample(value))
+            (length,) = _buffer_lengths(stats)
+            assert length < fold
+    assert stats.messages == len(values)
+    assert _totals(stats) == _exact_totals(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_stat_values, fold=_fold_sizes, data=st.data())
+def test_phase_stats_split_and_merge_are_exact(values, fold, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=4)))
+    bounds = [0, *cuts, len(values)]
+    with mock.patch.object(context, "FOLD_SIZE", fold):
+        parts = []
+        for start, end in zip(bounds, bounds[1:]):
+            part = PhaseStats()
+            for value in values[start:end]:
+                part.record(_sample(value))
+            parts.append(part)
+        merged = PhaseStats()
+        for part in data.draw(st.permutations(parts)):
+            merged.merge_from(part)
+            (length,) = _buffer_lengths(merged)
+            assert length < fold
+    assert merged.messages == len(values)
+    assert _totals(merged) == _exact_totals(values)
